@@ -241,12 +241,13 @@ ConcurrentResult run_concurrent(const SchemaPtr& schema, const BrokerNetwork& to
   readers.reserve(r.readers);
   for (unsigned t = 0; t < r.readers; ++t) {
     readers.emplace_back([&, t] {
-      MatchScratch scratch;
+      DispatchBatch batch;
       std::uint64_t local_dispatched = 0;
       std::uint64_t local_matched = 0;
       for (std::size_t i = t; !stop.load(std::memory_order_relaxed); ++i) {
-        const Decision d =
-            core.dispatch(kSpace0, pool[i % pool.size()], BrokerId{0}, scratch);
+        batch.clear();
+        batch.add(kSpace0, pool[i % pool.size()], BrokerId{0});
+        const Decision& d = core.dispatch(batch)[0];
         ++local_dispatched;
         local_matched += d.local_matches.size();
       }

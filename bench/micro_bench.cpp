@@ -55,13 +55,13 @@ void BM_PstMatch(benchmark::State& state) {
 BENCHMARK(BM_PstMatch)->Arg(1000)->Arg(10000)->Arg(25000);
 
 // The compiled-vs-mutable kernel pair: identical chart3-style workload and
-// matcher configuration, differing only in PstMatcherOptions::compiled_kernel.
-// The perf-smoke CI leg (tools/ci.sh perf) runs exactly these two.
-void run_kernel_match(benchmark::State& state, bool compiled_kernel) {
+// matcher, matched through match_into (the compiled kernel, once warm) or
+// by walking the event's mutable bucket tree directly. The perf-smoke CI
+// leg (tools/ci.sh perf) runs exactly these two.
+void run_kernel_match(benchmark::State& state, bool compiled) {
   Fixture fixture(static_cast<std::size_t>(state.range(0)));
   PstMatcherOptions options;
   options.factoring_levels = 2;
-  options.compiled_kernel = compiled_kernel;
   PstMatcher matcher(fixture.schema, options);
   for (std::size_t i = 0; i < fixture.subs.size(); ++i) {
     matcher.add(SubscriptionId{static_cast<std::int64_t>(i)}, fixture.subs[i]);
@@ -79,7 +79,12 @@ void run_kernel_match(benchmark::State& state, bool compiled_kernel) {
   std::size_t i = 0;
   for (auto _ : state) {
     out.clear();
-    matcher.match_into(fixture.events[i++ % fixture.events.size()], out, scratch);
+    const Event& e = fixture.events[i++ % fixture.events.size()];
+    if (compiled) {
+      matcher.match_into(e, out, scratch);
+    } else if (const Pst* tree = matcher.tree_for_event(e, scratch.factoring_key())) {
+      tree->match(e, out);
+    }
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

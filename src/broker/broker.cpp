@@ -106,10 +106,8 @@ void Broker::on_disconnect(ConnId conn) {
   const ConnState state = it->second;
   conns_.erase(it);
   if (state.kind == ConnKind::kClient) {
-    const auto client = clients_.find(state.client_name);
-    if (client != clients_.end() && client->second->conn == conn) {
-      client->second->conn = kInvalidConn;  // offline; log keeps accumulating
-    }
+    // Offline: the log keeps accumulating for a later reconnect.
+    if (state.client->conn == conn) state.client->conn = kInvalidConn;
   } else if (state.kind == ConnKind::kBroker) {
     const auto link = links_.find(state.peer);
     if (link != links_.end() && link->second.conn == conn) {
@@ -239,16 +237,15 @@ void Broker::on_frame(ConnId conn, std::span<const std::uint8_t> frame) {
 }
 
 void Broker::handle_hello_client(ConnId conn, const wire::HelloClient& hello) {
-  auto& record = clients_[hello.name];
-  if (!record) record = std::make_unique<ClientRecord>();
-  record->conn = conn;
-  conns_[conn] = ConnState{ConnKind::kClient, hello.name, BrokerId{}};
-  transport_->send(conn, wire::encode(wire::HelloAck{record->log.acked_seq(),
-                                                     record->log.truncated_through()}));
+  ClientRecord& record = client_record(hello.name);
+  record.conn = conn;
+  conns_[conn] = ConnState{ConnKind::kClient, &record, BrokerId{}};
+  transport_->send(conn, wire::encode(wire::HelloAck{record.log.acked_seq(),
+                                                     record.log.truncated_through()}));
   send_quench_state(conn);
   // Replay everything the client has not seen (transient-failure recovery).
-  const std::uint64_t after = std::max(hello.last_seq, record->log.acked_seq());
-  for (const EventLog::Entry* entry : record->log.unacknowledged(after)) {
+  const std::uint64_t after = std::max(hello.last_seq, record.log.acked_seq());
+  for (const EventLog::Entry* entry : record.log.unacknowledged(after)) {
     transport_->send(conn, wire::encode(wire::Deliver{entry->seq, entry->space, entry->event}));
   }
 }
@@ -351,22 +348,19 @@ void Broker::handle_subscribe(ConnId conn, const wire::SubscribeReq& req) {
     send_error(conn, req.token, "unknown information space");
     return;
   }
-  Subscription subscription = decode_subscription(core_.schema(req.space), req.subscription);
+  const Subscription subscription =
+      decode_subscription(core_.schema(req.space), req.subscription);
   const SubscriptionId id{
       static_cast<std::int64_t>((static_cast<std::uint64_t>(core_.self().value) << 40) |
                                 next_sub_counter_++)};
   const std::size_t count_before = core_.subscription_count(req.space);
-  core_.add_subscription(req.space, id, subscription, core_.self());
-  auto& client = clients_.at(it->second.client_name);
-  client->subscriptions.push_back(id);
-  local_sub_client_[id] = it->second.client_name;
-  local_sub_space_[id] = req.space;
-  ++stats_.subscriptions_active;
+  ClientRecord& client = *it->second.client;
+  bind_subscription(req.space, id, subscription, core_.self(), &client);
   transport_->send(conn, wire::encode(wire::SubscribeAck{req.token, id}));
   replicate({.kind = replication::UpdateKind::kSubAdd,
              .id = id,
              .owner = core_.self(),
-             .client = it->second.client_name,
+             .client = client.name,
              .space = req.space,
              .payload = req.subscription});
   propagate_subscription(
@@ -378,18 +372,15 @@ void Broker::handle_unsubscribe(ConnId conn, const wire::Unsubscribe& req) {
   core_.control_plane().assert_serialized();  // serialized by mutex_
   const auto it = conns_.find(conn);
   if (it == conns_.end() || it->second.kind != ConnKind::kClient) return;
-  const auto space_it = local_sub_space_.find(req.id);
-  const std::size_t count_before =
-      space_it == local_sub_space_.end() ? 0 : core_.subscription_count(space_it->second);
-  const SpaceId space = space_it == local_sub_space_.end() ? SpaceId{0} : space_it->second;
-  if (!core_.remove_subscription(req.id)) return;
-  --stats_.subscriptions_active;
+  // A client may only remove its own subscriptions: an id bound to another
+  // client (or not local at all) is ignored — no removal, no tombstone, no
+  // propagation.
+  const auto bound = local_subs_.find(req.id);
+  if (bound == local_subs_.end() || bound->second != it->second.client) return;
+  const SpaceId space = *core_.space_of(req.id);
+  const std::size_t count_before = core_.subscription_count(space);
+  unbind_subscription(req.id);
   record_tombstone(req.id);
-  auto& client = clients_.at(it->second.client_name);
-  auto& subs = client->subscriptions;
-  subs.erase(std::remove(subs.begin(), subs.end(), req.id), subs.end());
-  local_sub_client_.erase(req.id);
-  local_sub_space_.erase(req.id);
   replicate({.kind = replication::UpdateKind::kSubRemove, .id = req.id});
   propagate_unsubscription(wire::UnsubPropagate{req.id}, kInvalidConn);
   maybe_broadcast_quench(space, count_before);
@@ -420,9 +411,10 @@ void Broker::handle_publish(ConnId conn, const wire::Publish& publish) {
 void Broker::handle_ack(ConnId conn, const wire::Ack& ack) {
   const auto it = conns_.find(conn);
   if (it == conns_.end() || it->second.kind != ConnKind::kClient) return;
-  clients_.at(it->second.client_name)->log.acknowledge(ack.seq);
+  ClientRecord& client = *it->second.client;
+  client.log.acknowledge(ack.seq);
   replicate({.kind = replication::UpdateKind::kClientAck,
-             .client = it->second.client_name,
+             .client = client.name,
              .seq = ack.seq});
 }
 
@@ -439,8 +431,7 @@ void Broker::handle_sub_propagate(ConnId conn, const wire::SubPropagate& prop) {
   const Subscription subscription =
       decode_subscription(core_.schema(prop.space), prop.subscription);
   const std::size_t count_before = core_.subscription_count(prop.space);
-  core_.add_subscription(prop.space, prop.id, subscription, prop.owner);
-  ++stats_.subscriptions_active;
+  bind_subscription(prop.space, prop.id, subscription, prop.owner, nullptr);
   replicate({.kind = replication::UpdateKind::kSubAdd,
              .id = prop.id,
              .owner = prop.owner,
@@ -456,15 +447,7 @@ void Broker::handle_unsub_propagate(ConnId conn, const wire::UnsubPropagate& pro
   const auto space = core_.space_of(prop.id);
   if (!space.has_value()) return;  // already gone: stop the flood
   const std::size_t count_before = core_.subscription_count(*space);
-  if (!core_.remove_subscription(prop.id)) return;
-  --stats_.subscriptions_active;
-  const auto named = local_sub_client_.find(prop.id);
-  if (named != local_sub_client_.end()) {
-    auto& subs = clients_.at(named->second)->subscriptions;
-    subs.erase(std::remove(subs.begin(), subs.end(), prop.id), subs.end());
-    local_sub_client_.erase(prop.id);
-    local_sub_space_.erase(prop.id);
-  }
+  unbind_subscription(prop.id);
   replicate({.kind = replication::UpdateKind::kSubRemove, .id = prop.id});
   propagate_unsubscription(prop, conn);
   maybe_broadcast_quench(*space, count_before);
@@ -685,19 +668,16 @@ void Broker::apply_decision(SpaceId space, const std::vector<std::uint8_t>& enco
     ++stats_.events_forwarded;
   }
 
-  if (!decision.local_matches.empty()) {
-    // Fan out to local subscribers; one copy per client even when several
-    // of its subscriptions match.
-    std::vector<std::string> targets;
-    for (const SubscriptionId id : decision.local_matches) {
-      const auto named = local_sub_client_.find(id);
-      if (named != local_sub_client_.end()) targets.push_back(named->second);
-    }
-    std::sort(targets.begin(), targets.end());
-    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-    for (const std::string& name : targets) {
-      deliver_to_client(name, *clients_.at(name), space, encoded);
-    }
+  // Fan out to local subscribers in local_matches order; one copy per
+  // client even when several of its subscriptions match.
+  ++fanout_round_;
+  for (const SubscriptionId id : decision.local_matches) {
+    const auto bound = local_subs_.find(id);
+    if (bound == local_subs_.end()) continue;
+    ClientRecord& client = *bound->second;
+    if (client.fanout_round == fanout_round_) continue;
+    client.fanout_round = fanout_round_;
+    deliver_to_client(client, space, encoded);
   }
 }
 
@@ -718,12 +698,12 @@ void Broker::flush_link_egress() {
   }
 }
 
-void Broker::deliver_to_client(const std::string& name, ClientRecord& client, SpaceId space,
-                               std::vector<std::uint8_t> encoded) {
-  const std::uint64_t seq = client.log.append(space, std::move(encoded), now());
+void Broker::deliver_to_client(ClientRecord& client, SpaceId space,
+                               const std::vector<std::uint8_t>& encoded) {
+  const std::uint64_t seq = client.log.append(space, encoded, now());
   ++stats_.events_delivered;
   replicate({.kind = replication::UpdateKind::kClientDeliver,
-             .client = name,
+             .client = client.name,
              .space = space,
              .seq = seq,
              .payload = client.log.back().event});
@@ -1056,16 +1036,39 @@ void Broker::send_repl_ack(ConnId conn) {
   transport_->send(conn, wire::encode(wire::ReplAck{repl_applied_seq_}));
 }
 
+Broker::ClientRecord& Broker::client_record(std::string_view name) {
+  std::unique_ptr<ClientRecord>& record = clients_[std::string(name)];
+  if (!record) {
+    record = std::make_unique<ClientRecord>();
+    record->name = name;
+  }
+  return *record;
+}
+
+void Broker::bind_subscription(SpaceId space, SubscriptionId id,
+                               const Subscription& subscription, BrokerId owner,
+                               ClientRecord* client, SnapshotPolicy policy) {
+  core_.control_plane().assert_serialized();  // serialized by mutex_
+  core_.add_subscription(space, id, subscription, owner, policy);
+  if (client != nullptr) local_subs_[id] = client;
+}
+
+void Broker::unbind_subscription(SubscriptionId id) {
+  core_.control_plane().assert_serialized();  // serialized by mutex_
+  core_.remove_subscription(id);
+  local_subs_.erase(id);
+}
+
 void Broker::apply_update(const replication::Update& update) {
   core_.control_plane().assert_serialized();  // serialized by mutex_
   const Ticks t = now();  // local clock: replicated timestamps would skew GC
   switch (update.kind) {
     case replication::UpdateKind::kSubAdd: {
       if (!core_.has_space(update.space) || core_.has_subscription(update.id)) break;
-      core_.add_subscription(update.space, update.id,
-                             decode_subscription(core_.schema(update.space), update.payload),
-                             update.owner);
-      ++stats_.subscriptions_active;
+      bind_subscription(update.space, update.id,
+                        decode_subscription(core_.schema(update.space), update.payload),
+                        update.owner,
+                        update.client.empty() ? nullptr : &client_record(update.client));
       if (update.owner == core_.self()) {
         // Track the primary's id counter (we shadow its identity), so ids
         // assigned after promotion continue the sequence instead of
@@ -1074,51 +1077,35 @@ void Broker::apply_update(const replication::Update& update) {
             static_cast<std::uint64_t>(update.id.value) & ((std::uint64_t{1} << 40) - 1);
         next_sub_counter_ = std::max(next_sub_counter_, counter + 1);
       }
-      if (!update.client.empty()) {
-        auto& record = clients_[update.client];
-        if (!record) record = std::make_unique<ClientRecord>();
-        record->subscriptions.push_back(update.id);
-        local_sub_client_[update.id] = update.client;
-        local_sub_space_[update.id] = update.space;
-      }
       break;
     }
-    case replication::UpdateKind::kSubRemove: {
-      if (!core_.remove_subscription(update.id)) break;
-      --stats_.subscriptions_active;
-      const auto named = local_sub_client_.find(update.id);
-      if (named != local_sub_client_.end()) {
-        auto& subs = clients_.at(named->second)->subscriptions;
-        subs.erase(std::remove(subs.begin(), subs.end(), update.id), subs.end());
-        local_sub_client_.erase(update.id);
-        local_sub_space_.erase(update.id);
-      }
+    case replication::UpdateKind::kSubRemove:
+      unbind_subscription(update.id);
       break;
-    }
     case replication::UpdateKind::kTombstone:
       record_tombstone(update.id);
       break;
-    case replication::UpdateKind::kClientDeliver: {
-      auto& record = clients_[update.client];
-      if (!record) record = std::make_unique<ClientRecord>();
-      record->log.append_at(update.seq, update.space, update.payload, t);
+    case replication::UpdateKind::kClientDeliver:
+      client_record(update.client)
+          .log.append_at(update.seq, update.space,
+                         {update.payload.begin(), update.payload.end()}, t);
       break;
-    }
     case replication::UpdateKind::kClientAck: {
-      const auto it = clients_.find(update.client);
+      const auto it = clients_.find(std::string(update.client));
       if (it != clients_.end()) it->second->log.acknowledge(update.seq);
       break;
     }
     case replication::UpdateKind::kClientTruncate: {
-      const auto it = clients_.find(update.client);
+      const auto it = clients_.find(std::string(update.client));
       if (it != clients_.end()) {
         it->second->log.truncate_to(update.seq, update.truncated_through);
       }
       break;
     }
     case replication::UpdateKind::kLinkForward:
-      links_[update.peer].out_log.append_at(update.seq, update.space, update.payload, t,
-                                            update.origin);
+      links_[update.peer].out_log.append_at(
+          update.seq, update.space, {update.payload.begin(), update.payload.end()}, t,
+          update.origin);
       break;
     case replication::UpdateKind::kLinkAck:
       links_[update.peer].out_log.acknowledge(update.seq);
@@ -1152,8 +1139,8 @@ replication::SnapshotImage Broker::build_snapshot_image() {
     sub.id = id;
     sub.owner = owner;
     sub.space = space;
-    const auto named = local_sub_client_.find(id);
-    if (named != local_sub_client_.end()) sub.client = named->second;
+    const auto bound = local_subs_.find(id);
+    if (bound != local_subs_.end()) sub.client = bound->second->name;
     sub.subscription = encode_subscription(subscription);
     image.subscriptions.push_back(std::move(sub));
   });
@@ -1189,8 +1176,9 @@ replication::SnapshotImage Broker::build_snapshot_image() {
 void Broker::install_snapshot(const replication::SnapshotImage& image) {
   core_.control_plane().assert_serialized();  // serialized by mutex_
   // Wholesale replacement: a snapshot re-baselines, it does not merge.
-  // (Pre-promotion a standby has no client or broker connections — the
-  // on_frame gate refuses them — so there is no live state to preserve.)
+  // Pre-promotion a standby has no client or broker connections — the
+  // on_frame gate refuses them — so there is no live state to preserve,
+  // and no ConnState can point into the ClientRecords cleared here.
   std::vector<SubscriptionId> existing;
   core_.for_each_subscription(
       [&](SpaceId, SubscriptionId id, BrokerId, const Subscription&) {
@@ -1199,9 +1187,8 @@ void Broker::install_snapshot(const replication::SnapshotImage& image) {
   for (const SubscriptionId id : existing) {
     core_.remove_subscription(id, SnapshotPolicy::kDefer);
   }
+  local_subs_.clear();
   clients_.clear();
-  local_sub_client_.clear();
-  local_sub_space_.clear();
   links_.clear();
   tombstones_.clear();
   tombstone_fifo_.clear();
@@ -1210,21 +1197,13 @@ void Broker::install_snapshot(const replication::SnapshotImage& image) {
   // session continue, not a new incarnation.
   session_epoch_ = image.session_epoch;
   next_sub_counter_ = image.next_sub_counter;
-  stats_.subscriptions_active = 0;
   const Ticks t = now();
   for (const replication::SubImage& sub : image.subscriptions) {
     if (!core_.has_space(sub.space) || core_.has_subscription(sub.id)) continue;
-    core_.add_subscription(sub.space, sub.id,
-                           decode_subscription(core_.schema(sub.space), sub.subscription),
-                           sub.owner, SnapshotPolicy::kDefer);
-    ++stats_.subscriptions_active;
-    if (!sub.client.empty()) {
-      auto& record = clients_[sub.client];
-      if (!record) record = std::make_unique<ClientRecord>();
-      record->subscriptions.push_back(sub.id);
-      local_sub_client_[sub.id] = sub.client;
-      local_sub_space_[sub.id] = sub.space;
-    }
+    bind_subscription(sub.space, sub.id,
+                      decode_subscription(core_.schema(sub.space), sub.subscription), sub.owner,
+                      sub.client.empty() ? nullptr : &client_record(sub.client),
+                      SnapshotPolicy::kDefer);
   }
   for (std::size_t s = 0; s < core_.space_count(); ++s) {
     core_.publish_space(SpaceId{static_cast<SpaceId::rep_type>(s)});
@@ -1241,12 +1220,10 @@ void Broker::install_snapshot(const replication::SnapshotImage& image) {
                             link.out_log.truncated_through, std::move(entries));
   }
   for (const replication::ClientImage& ci : image.clients) {
-    auto& record = clients_[ci.name];
-    if (!record) record = std::make_unique<ClientRecord>();
     std::deque<EventLog::Entry> entries = ci.log.entries;
     for (EventLog::Entry& entry : entries) entry.logged_at = t;  // re-stamp
-    record->log.restore(ci.log.next_seq, ci.log.acked, ci.log.truncated_through,
-                        std::move(entries));
+    client_record(ci.name).log.restore(ci.log.next_seq, ci.log.acked,
+                                       ci.log.truncated_through, std::move(entries));
   }
 }
 
@@ -1319,6 +1296,7 @@ Broker::Stats Broker::stats() const {
   MutexLock lock(mutex_);
   core_.control_plane().assert_serialized();  // serialized by mutex_
   Stats out = stats_;
+  out.subscriptions_active = core_.subscription_count();
   out.control_plane = core_.control_plane_stats();
   return out;
 }

@@ -13,6 +13,13 @@
 // deduplication; published events are multicast hop-by-hop with the link
 // matching protocol (the publisher's broker is the spanning-tree root).
 //
+// Each fact has one owner. The core's registry holds every subscription
+// replica (Stats::subscriptions_active reads its size); the broker adds
+// only which local client owns each local subscription (local_subs_, set
+// and cleared by bind_subscription / unbind_subscription). A client is
+// named once, in its ClientRecord; connections and bindings point at the
+// record. A client may unsubscribe only subscriptions bound to it.
+//
 // Broker links are robust to transient failures, symmetrically with the
 // client plane (docs/fault-tolerance.md): each broker<->broker link carries
 // a *session* — forwards are sequenced per neighbor under a per-process
@@ -46,6 +53,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -213,7 +221,7 @@ class Broker : public TransportHandler {
     std::uint64_t events_forwarded{0};   // copies sent to neighbor brokers
     std::uint64_t events_delivered{0};   // copies delivered to local clients
     std::uint64_t events_relayed{0};     // EventForward frames handled
-    std::uint64_t subscriptions_active{0};
+    std::uint64_t subscriptions_active{0};  // the core's registry size at stats() time
     std::uint64_t matching_steps{0};
     // Robustness counters (docs/fault-tolerance.md).
     std::uint64_t retransmits{0};            // forwards re-sent (timeout or handshake)
@@ -239,15 +247,21 @@ class Broker : public TransportHandler {
 
  private:
   enum class ConnKind : std::uint8_t { kUnknown, kClient, kBroker, kReplica };
-  struct ConnState {
-    ConnKind kind{ConnKind::kUnknown};
-    std::string client_name;  // kClient
-    BrokerId peer;            // kBroker
-  };
+  /// One named client: its delivery log and, while it is online, its
+  /// connection. Records live in clients_ (stable addresses) and are
+  /// referenced by pointer from conns_ and local_subs_.
   struct ClientRecord {
+    std::string name;           // hello name; the clients_ key
     ConnId conn{kInvalidConn};  // kInvalidConn while offline
     EventLog log;
-    std::vector<SubscriptionId> subscriptions;
+    /// apply_decision round that last delivered here: one copy per client
+    /// per event even when several of its subscriptions match.
+    std::uint64_t fanout_round{0};
+  };
+  struct ConnState {
+    ConnKind kind{ConnKind::kUnknown};
+    ClientRecord* client{nullptr};  // kClient
+    BrokerId peer;                  // kBroker
   };
   /// Per-neighbor link session. Outlives any one connection: the forward
   /// log, sequence counters, and inbound dedup state persist across drops
@@ -311,6 +325,18 @@ class Broker : public TransportHandler {
   /// Standby side: replaces all durable state with the image.
   void install_snapshot(const replication::SnapshotImage& image) REQUIRES(mutex_);
   void send_repl_ack(ConnId conn) REQUIRES(mutex_);
+  /// The record for a client name, created on first use.
+  ClientRecord& client_record(std::string_view name) REQUIRES(mutex_);
+  /// Adds a subscription replica to the core and, when `client` is set,
+  /// binds it to that local subscriber: the one place a local subscription
+  /// gains its owner.
+  void bind_subscription(SpaceId space, SubscriptionId id, const Subscription& subscription,
+                         BrokerId owner, ClientRecord* client,
+                         SnapshotPolicy policy = SnapshotPolicy::kPublish) REQUIRES(mutex_);
+  /// Removes a subscription replica (if known) from the core and unbinds
+  /// its local subscriber, if any: the one place a local subscription
+  /// loses its owner.
+  void unbind_subscription(SubscriptionId id) REQUIRES(mutex_);
   /// promote() body; also invoked by a kPromote frame inside the handler.
   void promote_locked() REQUIRES(mutex_);
 
@@ -334,8 +360,8 @@ class Broker : public TransportHandler {
   /// Hands every session's staged egress to the transport as one
   /// send_batch per neighbor (the coalesced writev-style flush).
   void flush_link_egress() REQUIRES(mutex_);
-  void deliver_to_client(const std::string& name, ClientRecord& client, SpaceId space,
-                         std::vector<std::uint8_t> encoded) REQUIRES(mutex_);
+  void deliver_to_client(ClientRecord& client, SpaceId space,
+                         const std::vector<std::uint8_t>& encoded) REQUIRES(mutex_);
   void sync_subscriptions_to(ConnId conn) REQUIRES(mutex_);
   /// Replays the peer-unseen suffix of the link's forward log and updates
   /// its ack state from the peer's handshake report.
@@ -363,8 +389,10 @@ class Broker : public TransportHandler {
   std::uint64_t session_epoch_;
   std::unordered_map<ConnId, ConnState> conns_ GUARDED_BY(mutex_);
   std::unordered_map<std::string, std::unique_ptr<ClientRecord>> clients_ GUARDED_BY(mutex_);
-  std::unordered_map<SubscriptionId, std::string> local_sub_client_ GUARDED_BY(mutex_);
-  std::unordered_map<SubscriptionId, SpaceId> local_sub_space_ GUARDED_BY(mutex_);
+  /// Local subscription -> its subscriber. Every key is also in the core's
+  /// registry; the core owns the subscription, this map only its client.
+  std::unordered_map<SubscriptionId, ClientRecord*> local_subs_ GUARDED_BY(mutex_);
+  std::uint64_t fanout_round_ GUARDED_BY(mutex_){0};
   std::unordered_map<BrokerId, LinkSession> links_ GUARDED_BY(mutex_);
   std::unordered_set<SubscriptionId> tombstones_ GUARDED_BY(mutex_);
   std::deque<SubscriptionId> tombstone_fifo_ GUARDED_BY(mutex_);

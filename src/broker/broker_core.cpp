@@ -430,20 +430,6 @@ std::span<const BrokerCore::Decision> BrokerCore::dispatch(DispatchBatch& batch)
   return batch.decisions();
 }
 
-BrokerCore::Decision BrokerCore::dispatch(SpaceId space, const Event& event, BrokerId tree_root,
-                                          MatchScratch& scratch) const {
-  if (!group_index_of_root_.contains(tree_root)) {
-    throw std::invalid_argument("BrokerCore::dispatch: unknown tree root");
-  }
-  if (!space.valid() || static_cast<std::size_t>(space.value) >= spaces_.size()) {
-    throw std::invalid_argument("BrokerCore: bad space index");
-  }
-  Decision decision;
-  const auto snapshot = snapshot_.load();
-  dispatch_pinned(*snapshot, space, event, tree_root, scratch, decision);
-  return decision;
-}
-
 std::size_t BrokerCore::shard_count(SpaceId space) const {
   if (!space.valid() || static_cast<std::size_t>(space.value) >= spaces_.size()) {
     throw std::invalid_argument("BrokerCore: bad space index");

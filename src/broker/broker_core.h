@@ -198,13 +198,6 @@ class BrokerCore {
   /// add() order, valid until the batch is cleared or re-dispatched.
   std::span<const Decision> dispatch(DispatchBatch& batch) const;
 
-  /// Scalar shim over the batch path for call sites that genuinely handle
-  /// one event (tests, the simulator). `scratch` provides the caller-thread
-  /// memoization arena; there is deliberately no scratch-defaulting
-  /// overload — batch contexts own scratch now (see DispatchBatch).
-  [[nodiscard]] Decision dispatch(SpaceId space, const Event& event, BrokerId tree_root,
-                                  MatchScratch& scratch) const;
-
   /// Shards serving one space in the published snapshot (1 unless the
   /// space is factored and the core was built with data_plane_shards > 1).
   [[nodiscard]] std::size_t shard_count(SpaceId space) const;
@@ -288,7 +281,7 @@ class BrokerCore {
   /// subscription (forces the next publish to compile from scratch).
   void maybe_grow_segments(SpaceId space) REQUIRES(control_plane_);
   /// Matches one event against an already-pinned snapshot and fills `out`.
-  /// The shared hot path under both dispatch shapes; data-plane pure.
+  /// One event of dispatch(batch) against the pinned snapshot; data-plane pure.
   void dispatch_pinned(const CoreSnapshot& snapshot, SpaceId space, const Event& event,
                        BrokerId tree_root, MatchScratch& scratch, Decision& out) const;
 

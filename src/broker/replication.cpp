@@ -125,25 +125,25 @@ Update decode_update(std::span<const std::uint8_t> buffer) {
       update.id = SubscriptionId{dec.get_i64()};
       update.owner = get_broker(dec);
       update.space = get_space(dec);
-      update.client = dec.get_string();
-      update.payload = dec.get_bytes();
+      update.client = dec.get_string_view();
+      update.payload = dec.get_bytes_view();
       break;
     case UpdateKind::kSubRemove:
     case UpdateKind::kTombstone:
       update.id = SubscriptionId{dec.get_i64()};
       break;
     case UpdateKind::kClientDeliver:
-      update.client = dec.get_string();
+      update.client = dec.get_string_view();
       update.seq = dec.get_u64();
       update.space = get_space(dec);
-      update.payload = dec.get_bytes();
+      update.payload = dec.get_bytes_view();
       break;
     case UpdateKind::kClientAck:
-      update.client = dec.get_string();
+      update.client = dec.get_string_view();
       update.seq = dec.get_u64();
       break;
     case UpdateKind::kClientTruncate:
-      update.client = dec.get_string();
+      update.client = dec.get_string_view();
       update.seq = dec.get_u64();
       update.truncated_through = dec.get_u64();
       break;
@@ -152,7 +152,7 @@ Update decode_update(std::span<const std::uint8_t> buffer) {
       update.seq = dec.get_u64();
       update.origin = get_broker(dec);
       update.space = get_space(dec);
-      update.payload = dec.get_bytes();
+      update.payload = dec.get_bytes_view();
       break;
     case UpdateKind::kLinkAck:
       update.peer = get_broker(dec);

@@ -19,6 +19,7 @@
 #include <deque>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "broker/event_log.h"
@@ -46,14 +47,16 @@ enum class UpdateKind : std::uint8_t {
 
 /// One durable-state mutation. A tagged union flattened into one struct:
 /// which fields are meaningful depends on `kind` (see the encoder — fields
-/// not listed for a kind are neither encoded nor decoded).
+/// not listed for a kind are neither encoded nor decoded). `client` and
+/// `payload` borrow: from the caller's state when encoding (so building an
+/// Update copies nothing), from the decoded buffer after decode_update.
 struct Update {
   UpdateKind kind{UpdateKind::kSubAdd};
   SubscriptionId id{};     // kSubAdd / kSubRemove / kTombstone
   BrokerId owner{};        // kSubAdd
   BrokerId peer{};         // every kLink* kind: the neighbor
   BrokerId origin{};       // kLinkForward: spanning-tree root of the event
-  std::string client;      // every kClient* kind: the hello name; kSubAdd:
+  std::string_view client; // every kClient* kind: the hello name; kSubAdd:
                            // the local subscriber (empty for remote replicas)
   SpaceId space{0};        // kSubAdd / kClientDeliver / kLinkForward
   std::uint64_t seq{0};    // deliver/forward/ack sequence; kLinkInSeq: in_seq;
@@ -61,8 +64,8 @@ struct Update {
   std::uint64_t epoch{0};  // kLinkInSeq: the peer epoch in_seq counts under
   std::uint64_t truncated_through{0};  // k*Truncate: adopted truncation bound
   bool dead{false};        // kLinkDead
-  std::vector<std::uint8_t> payload;  // encoded Subscription (kSubAdd) or
-                                      // Event (kClientDeliver / kLinkForward)
+  std::span<const std::uint8_t> payload;  // encoded Subscription (kSubAdd) or
+                                          // Event (kClientDeliver / kLinkForward)
 };
 
 /// A replicated EventLog: counters plus the retained (unacknowledged)
@@ -113,6 +116,7 @@ struct SnapshotImage {
 /// primitives, little-endian). Decoders throw CodecError on malformed
 /// input, including unknown update kinds.
 std::vector<std::uint8_t> encode_update(const Update& update);
+/// The result borrows from `buffer`, which must outlive it.
 Update decode_update(std::span<const std::uint8_t> buffer);
 
 std::vector<std::uint8_t> encode_snapshot(const SnapshotImage& image);

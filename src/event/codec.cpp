@@ -134,21 +134,24 @@ double Decoder::get_f64() {
   return v;
 }
 
-std::string Decoder::get_string() {
+std::span<const std::uint8_t> Decoder::get_bytes_view() {
   const std::uint32_t n = get_u32();
   need(n);
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
-  pos_ += n;
-  return s;
-}
-
-std::vector<std::uint8_t> Decoder::get_bytes() {
-  const std::uint32_t n = get_u32();
-  need(n);
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const std::span<const std::uint8_t> out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
+}
+
+std::string_view Decoder::get_string_view() {
+  const std::span<const std::uint8_t> bytes = get_bytes_view();
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+std::string Decoder::get_string() { return std::string(get_string_view()); }
+
+std::vector<std::uint8_t> Decoder::get_bytes() {
+  const std::span<const std::uint8_t> bytes = get_bytes_view();
+  return {bytes.begin(), bytes.end()};
 }
 
 Value Decoder::get_value() {

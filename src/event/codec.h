@@ -11,6 +11,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "event/event.h"
@@ -66,6 +67,9 @@ class Decoder {
   double get_f64();
   std::string get_string();
   std::vector<std::uint8_t> get_bytes();
+  /// As get_string / get_bytes, but borrowing from the decoded buffer.
+  std::string_view get_string_view();
+  std::span<const std::uint8_t> get_bytes_view();
 
   Value get_value();
   Event get_event(const SchemaPtr& schema);

@@ -198,11 +198,9 @@ void PstMatcher::match_into(const Event& event, std::vector<SubscriptionId>& out
   const Pst* tree = tree_for_event(event, scratch.factoring_key());
   if (factoring_ && stats != nullptr) ++stats->nodes_visited;  // the index probe
   if (tree == nullptr) return;
-  if (options_.compiled_kernel) {
-    if (const auto kernel = compiled_for(*tree)) {
-      kernel->match(event, out, scratch, stats);
-      return;
-    }
+  if (const auto kernel = compiled_for(*tree)) {
+    kernel->match(event, out, scratch, stats);
+    return;
   }
   tree->match(event, out, stats);
 }

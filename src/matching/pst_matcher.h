@@ -64,11 +64,6 @@ struct PstMatcherOptions {
   std::vector<std::size_t> attribute_order;
   /// How many leading attributes of the order are factored (0 = none).
   std::size_t factoring_levels{0};
-  /// Match through the compiled flat kernel (CompiledPst) once a bucket
-  /// tree has proven stable — see PstMatcher::kCompileThreshold. Off means
-  /// every match walks the mutable tree directly (the pre-compilation
-  /// behaviour; benchmarks compare the two).
-  bool compiled_kernel{true};
   Pst::Options tree;
 };
 

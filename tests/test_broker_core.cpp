@@ -30,9 +30,8 @@ Event ev(const SchemaPtr& schema, std::vector<int> values) {
 
 BrokerNetwork broker_only_line(std::size_t n) { return make_line(n, 10, 0, 1); }
 
-/// One-event dispatch through the batch-first API (the only dispatch entry
-/// besides the explicit-scratch scalar shim). Returns a copy so the batch
-/// can go out of scope.
+/// One-event dispatch through the batch-first API (the only dispatch
+/// entry). Returns a copy so the batch can go out of scope.
 BrokerCore::Decision dispatch1(const BrokerCore& core, SpaceId space, const Event& e,
                                BrokerId tree_root) {
   DispatchBatch batch;

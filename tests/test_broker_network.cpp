@@ -160,6 +160,29 @@ TEST(BrokerNetwork, UnsubscribeStopsDeliveryNetworkWide) {
   EXPECT_TRUE(sub.take_deliveries().empty());
 }
 
+TEST(BrokerNetwork, ClientCannotUnsubscribeAnotherClientsSubscription) {
+  TestBed bed;
+  Client& victim = bed.add_client("victim", 2);
+  Client& rogue = bed.add_client("rogue", 0);
+  Client& publisher = bed.add_client("pub", 1);
+  const auto token = victim.subscribe(0, "issue = \"IBM\"");
+  bed.net.pump();
+  const auto id = victim.subscription_id(token);
+  ASSERT_TRUE(id.has_value());
+
+  // The id is not bound to the rogue client: its broker must ignore the
+  // request instead of removing the subscription network-wide.
+  rogue.unsubscribe(*id);
+  bed.net.pump();
+  for (const auto& broker : bed.brokers) {
+    EXPECT_EQ(broker->core().subscription_count(), 1u) << "broker " << broker->self();
+    EXPECT_EQ(broker->stats().subscriptions_active, 1u) << "broker " << broker->self();
+  }
+  publisher.publish(0, bed.trade("IBM", 1.0, 1));
+  bed.net.pump();
+  EXPECT_EQ(victim.take_deliveries().size(), 1u);
+}
+
 TEST(BrokerNetwork, ReconnectReplaysMissedEvents) {
   TestBed bed;
   auto* sub_endpoint = bed.net.create_endpoint("flaky");

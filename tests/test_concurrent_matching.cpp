@@ -72,11 +72,13 @@ TEST(ConcurrentMatching, DispatchSeesConsistentSnapshotsUnderChurn) {
   const auto reader = [&](unsigned seed) {
     Rng thread_rng(seed);
     EventGenerator events(schema);
-    MatchScratch scratch;
+    DispatchBatch batch;
     while (!done.load(std::memory_order_acquire)) {
       const Event e = events.generate(thread_rng);
       const BrokerId root{static_cast<BrokerId::rep_type>(thread_rng.below(3))};
-      const auto d = core.dispatch(kSpace0, e, root, scratch);
+      batch.clear();
+      batch.add(kSpace0, e, root);
+      const Decision& d = core.dispatch(batch)[0];
 
       EXPECT_EQ(d.deliver_locally, !d.local_matches.empty());
       std::set<SubscriptionId> seen;
@@ -267,11 +269,13 @@ TEST(ConcurrentMatching, CoveringChurnKeepsSnapshotsConsistent) {
   const auto reader = [&](unsigned seed) {
     Rng thread_rng(seed);
     EventGenerator events(schema);
-    MatchScratch scratch;
+    DispatchBatch batch;
     while (!done.load(std::memory_order_acquire)) {
       const Event e = events.generate(thread_rng);
       const BrokerId root{static_cast<BrokerId::rep_type>(thread_rng.below(3))};
-      const auto d = core.dispatch(kSpace0, e, root, scratch);
+      batch.clear();
+      batch.add(kSpace0, e, root);
+      const Decision& d = core.dispatch(batch)[0];
       EXPECT_EQ(d.deliver_locally, !d.local_matches.empty());
       std::set<SubscriptionId> seen;
       for (const SubscriptionId id : d.local_matches) {

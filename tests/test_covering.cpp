@@ -263,12 +263,16 @@ TEST(CoveringIndexMechanics, LocalOwnerBypassesCovering) {
 /// remote ids by expansion).
 void expect_equivalent(const BrokerCore& with, const BrokerCore& without,
                        const std::vector<Event>& pool, int roots) {
-  MatchScratch scratch_a;
-  MatchScratch scratch_b;
+  DispatchBatch batch_a;
+  DispatchBatch batch_b;
   for (int root = 0; root < roots; ++root) {
     for (const Event& e : pool) {
-      const Decision a = with.dispatch(kSpace0, e, BrokerId{root}, scratch_a);
-      const Decision b = without.dispatch(kSpace0, e, BrokerId{root}, scratch_b);
+      batch_a.clear();
+      batch_a.add(kSpace0, e, BrokerId{root});
+      batch_b.clear();
+      batch_b.add(kSpace0, e, BrokerId{root});
+      const Decision& a = with.dispatch(batch_a)[0];
+      const Decision& b = without.dispatch(batch_b)[0];
       EXPECT_EQ(a.forward, b.forward) << "forwarding differs under covering";
       EXPECT_EQ(a.deliver_locally, b.deliver_locally);
       std::vector<SubscriptionId> la = a.local_matches;

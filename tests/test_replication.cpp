@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -27,20 +28,24 @@ namespace {
 
 TEST(ReplicationCodec, UpdateRoundTripsEveryKind) {
   using K = replication::UpdateKind;
+  // Updates borrow their payloads: keep the bytes alive for the whole test.
+  const std::vector<std::uint8_t> sub_bytes = {1, 2, 3};
+  const std::vector<std::uint8_t> deliver_bytes = {9, 9};
+  const std::vector<std::uint8_t> forward_bytes = {4, 5, 6, 7};
   std::vector<replication::Update> updates;
   updates.push_back({.kind = K::kSubAdd,
                      .id = SubscriptionId{(7LL << 40) | 3},
                      .owner = BrokerId{7},
                      .client = "alice",
                      .space = SpaceId{2},
-                     .payload = {1, 2, 3}});
+                     .payload = sub_bytes});
   updates.push_back({.kind = K::kSubRemove, .id = SubscriptionId{9}});
   updates.push_back({.kind = K::kTombstone, .id = SubscriptionId{42}});
   updates.push_back({.kind = K::kClientDeliver,
                      .client = "bob",
                      .space = SpaceId{1},
                      .seq = 17,
-                     .payload = {9, 9}});
+                     .payload = deliver_bytes});
   updates.push_back({.kind = K::kClientAck, .client = "bob", .seq = 17});
   updates.push_back({.kind = K::kClientTruncate,
                      .client = "bob",
@@ -51,7 +56,7 @@ TEST(ReplicationCodec, UpdateRoundTripsEveryKind) {
                      .origin = BrokerId{5},
                      .space = SpaceId{0},
                      .seq = 101,
-                     .payload = {4, 5, 6, 7}});
+                     .payload = forward_bytes});
   updates.push_back({.kind = K::kLinkAck, .peer = BrokerId{2}, .seq = 101});
   updates.push_back({.kind = K::kLinkTruncate,
                      .peer = BrokerId{2},
@@ -63,8 +68,8 @@ TEST(ReplicationCodec, UpdateRoundTripsEveryKind) {
   updates.push_back({.kind = K::kLinkDead, .peer = BrokerId{3}, .dead = false});
 
   for (const replication::Update& in : updates) {
-    const replication::Update out =
-        replication::decode_update(replication::encode_update(in));
+    const std::vector<std::uint8_t> encoded = replication::encode_update(in);
+    const replication::Update out = replication::decode_update(encoded);
     EXPECT_EQ(out.kind, in.kind);
     EXPECT_EQ(out.id, in.id);
     EXPECT_EQ(out.owner, in.owner);
@@ -76,7 +81,7 @@ TEST(ReplicationCodec, UpdateRoundTripsEveryKind) {
     EXPECT_EQ(out.epoch, in.epoch);
     EXPECT_EQ(out.truncated_through, in.truncated_through);
     EXPECT_EQ(out.dead, in.dead);
-    EXPECT_EQ(out.payload, in.payload);
+    EXPECT_TRUE(std::ranges::equal(out.payload, in.payload));
   }
 }
 

@@ -2,8 +2,8 @@
 // compiled matching state into shards and draining events through
 // DispatchBatch must be a pure layout change. Every decision a sharded
 // core produces — forward set, local matches (in order), deliver_locally,
-// steps — must be bit-identical to the unsharded core's scalar path for
-// the same subscription history, across control-plane churn.
+// steps — must be bit-identical to the unsharded core dispatching one event
+// at a time, for the same subscription history, across control-plane churn.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -25,6 +25,14 @@ PstMatcherOptions factored_options() {
   return options;
 }
 
+/// One-event dispatch through the batch API. Returns a copy so the batch
+/// can go out of scope.
+Decision dispatch1(const BrokerCore& core, const Event& e, BrokerId tree_root) {
+  DispatchBatch batch;
+  batch.add(kSpace0, e, tree_root);
+  return core.dispatch(batch)[0];
+}
+
 /// Field-by-field equality, excluding `shard` (shard is placement, which
 /// legitimately differs between shard counts).
 void expect_same_decision(const Decision& a, const Decision& b, const char* context) {
@@ -34,9 +42,9 @@ void expect_same_decision(const Decision& a, const Decision& b, const char* cont
   EXPECT_EQ(a.steps, b.steps) << context;
 }
 
-/// Dispatches every (event, root) pair through both cores — sharded via
-/// the batch API, unsharded via the scalar shim — and requires identical
-/// decisions plus identical match_all sets.
+/// Dispatches every (event, root) pair through both cores — sharded as one
+/// batch, unsharded one event at a time — and requires identical decisions
+/// plus identical match_all sets.
 void expect_cores_agree(const BrokerCore& sharded, const BrokerCore& unsharded,
                         const std::vector<Event>& pool) {
   for (int root = 0; root < 3; ++root) {
@@ -44,11 +52,9 @@ void expect_cores_agree(const BrokerCore& sharded, const BrokerCore& unsharded,
     for (const Event& e : pool) batch.add(kSpace0, e, BrokerId{root});
     const auto decisions = sharded.dispatch(batch);
     ASSERT_EQ(decisions.size(), pool.size());
-    MatchScratch scratch;
     for (std::size_t i = 0; i < pool.size(); ++i) {
-      const Decision scalar =
-          unsharded.dispatch(kSpace0, pool[i], BrokerId{root}, scratch);
-      expect_same_decision(decisions[i], scalar, "sharded batch vs unsharded scalar");
+      expect_same_decision(decisions[i], dispatch1(unsharded, pool[i], BrokerId{root}),
+                           "sharded batch vs unsharded one-event batches");
     }
   }
   for (const Event& e : pool) {
@@ -99,8 +105,8 @@ TEST_F(ShardedDispatchTest, BitIdenticalToUnshardedAcrossChurn) {
   expect_cores_agree(sharded, unsharded, pool);
 }
 
-TEST_F(ShardedDispatchTest, BatchAgreesWithScalarShimOnSameCore) {
-  // On a single core the batch entry point and the scalar shim share the
+TEST_F(ShardedDispatchTest, BatchAgreesWithOneEventBatchesOnSameCore) {
+  // On a single core a many-event batch and one-event batches share the
   // shard layout, so even Decision::shard must agree.
   BrokerCore core(BrokerId{1}, topo_, {schema_}, factored_options(), 3);
   Rng rng(7);
@@ -117,11 +123,10 @@ TEST_F(ShardedDispatchTest, BatchAgreesWithScalarShimOnSameCore) {
   for (const Event& e : pool) batch.add(kSpace0, e, BrokerId{0});
   const auto decisions = core.dispatch(batch);
   ASSERT_EQ(decisions.size(), pool.size());
-  MatchScratch scratch;
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    const Decision scalar = core.dispatch(kSpace0, pool[i], BrokerId{0}, scratch);
-    expect_same_decision(decisions[i], scalar, "batch vs scalar shim");
-    EXPECT_EQ(decisions[i].shard, scalar.shard);
+    const Decision single = dispatch1(core, pool[i], BrokerId{0});
+    expect_same_decision(decisions[i], single, "batch vs one-event batch");
+    EXPECT_EQ(decisions[i].shard, single.shard);
     EXPECT_LT(decisions[i].shard, core.shard_count(kSpace0));
   }
 }
@@ -147,12 +152,11 @@ TEST_F(ShardedDispatchTest, DecisionsComeBackInAddOrder) {
     batch.add(kSpace0, pool[i], BrokerId{static_cast<BrokerId::rep_type>(i % 3)});
   }
   const auto decisions = core.dispatch(batch);
-  MatchScratch scratch;
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    const Decision scalar = core.dispatch(
-        kSpace0, pool[i], BrokerId{static_cast<BrokerId::rep_type>(i % 3)}, scratch);
-    expect_same_decision(decisions[i], scalar, "decision order");
-    EXPECT_EQ(decisions[i].shard, scalar.shard);
+    const Decision single =
+        dispatch1(core, pool[i], BrokerId{static_cast<BrokerId::rep_type>(i % 3)});
+    expect_same_decision(decisions[i], single, "decision order");
+    EXPECT_EQ(decisions[i].shard, single.shard);
   }
 }
 

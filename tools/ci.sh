@@ -2,12 +2,13 @@
 # Local CI: release build + full test suite, sanitizer passes (ASan, UBSan,
 # TSan — each pure, in its own build directory), a perf smoke over the
 # matching kernels, a multi-core scaling check over the sharded batch
-# dispatch pipeline, the gryphon-analyze invariant leg, and the lint leg
-# (clang-tidy). See docs/static-analysis.md for the full matrix.
+# dispatch pipeline, the end-to-end benchmark's delivery oracle, the
+# gryphon-analyze invariant leg, and the lint leg (clang-tidy). See
+# docs/static-analysis.md for the full matrix.
 #
 #   tools/ci.sh             # release + asan + ubsan + tsan + chaos +
-#                           # failover + perf + scaling + churn + analyze +
-#                           # lint
+#                           # failover + perf + scaling + churn + sim-scale +
+#                           # e2e + analyze + lint
 #   tools/ci.sh release     # just the release leg
 #   tools/ci.sh tsan        # just the ThreadSanitizer leg
 #   tools/ci.sh asan ubsan  # any subset, in order
@@ -16,6 +17,7 @@
 #   tools/ci.sh scaling     # mt_throughput sharded-dispatch scaling check
 #   tools/ci.sh churn       # covering/delta control-plane churn check
 #   tools/ci.sh sim-scale   # parallel sim engine: equivalence + scale sweep
+#   tools/ci.sh e2e         # end-to-end benchmark: self-test + oracle runs
 #   tools/ci.sh analyze     # gryphon-analyze self-test + live-tree run
 #
 # The TSan leg runs the tests labeled `concurrency` (the snapshot /
@@ -38,7 +40,7 @@ JOBS="${JOBS:-$(nproc)}"
 if [[ $# -gt 0 ]]; then
   LEGS=("$@")
 else
-  LEGS=(release asan ubsan tsan chaos failover perf scaling churn sim-scale analyze lint)
+  LEGS=(release asan ubsan tsan chaos failover perf scaling churn sim-scale e2e analyze lint)
 fi
 
 # NOLINT budget enforced alongside clang-tidy (policy in .clang-tidy). The
@@ -64,6 +66,22 @@ run_analyze() {
     echo "    (install python3-clang to run both frontends)"
   fi
   echo "analyze artifact: gryphon-analyze-findings.json"
+}
+
+run_e2e() {
+  # The end-to-end benchmark (e2ebench/, BENCHMARK.json) drives live broker
+  # networks and checks every delivery against an oracle; a run exits
+  # non-zero on any missing, duplicate or spurious delivery, a failed
+  # subscribe, or generator lag past its limit. The self-test first proves
+  # the oracle rejects injected faults, then one short run per gated
+  # workload puts that oracle in front of every broker change.
+  echo "=== [e2e] end-to-end benchmark self-test ==="
+  python3 e2ebench/run.py --selftest
+  local workload
+  for workload in pair-tcp-fanout line3-churn; do
+    echo "=== [e2e] $workload: 5 s oracle-checked run ==="
+    python3 e2ebench/run.py --workload "$workload" --seconds 5 --trace 0
+  done
 }
 
 run_lint() {
@@ -109,10 +127,11 @@ run_leg() {
     scaling) dir=build          sanitize=""          ;;
     churn)   dir=build          sanitize=""          ;;
     sim-scale) dir=build        sanitize=""          ;;
+    e2e)     run_e2e; return ;;
     analyze) run_analyze; return ;;
     lint)    run_lint; return ;;
     *)
-      echo "ci.sh: unknown leg '$leg' (release|asan|ubsan|tsan|chaos|failover|perf|scaling|churn|sim-scale|analyze|lint)" >&2
+      echo "ci.sh: unknown leg '$leg' (release|asan|ubsan|tsan|chaos|failover|perf|scaling|churn|sim-scale|e2e|analyze|lint)" >&2
       exit 2
       ;;
   esac
